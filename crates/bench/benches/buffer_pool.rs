@@ -35,7 +35,9 @@ fn bench(c: &mut Criterion) {
     // table at work; the old global mutex kept it flat.
     for threads in [2usize, 4, 8] {
         group.bench_function(format!("fetch_hit_threads_{threads}"), |b| {
-            b.iter_custom(|iters| concurrent_fetch_time(&db, &leaves, threads, iters))
+            b.iter_custom(|iters| {
+                concurrent_fetch_time(&db, &leaves, threads, iters).expect("fetch workers")
+            })
         });
     }
 
@@ -67,7 +69,7 @@ fn bench(c: &mut Criterion) {
     db.drop_cache();
     let leaves = db.leaf_pages();
     group.bench_function("fetch_miss_verify_threads_4", |b| {
-        b.iter_custom(|iters| concurrent_fetch_time(&db, &leaves, 4, iters))
+        b.iter_custom(|iters| concurrent_fetch_time(&db, &leaves, 4, iters).expect("fetch workers"))
     });
 
     group.finish();

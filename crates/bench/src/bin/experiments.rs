@@ -1175,7 +1175,7 @@ fn e14_perf_baseline() {
 
     banner(
         "E14",
-        "perf baseline (wall clock; sharded pool + slice-by-8 CRC)",
+        "perf baseline (wall clock; sharded pool + dispatched CRC-32C)",
         "\"Single-page failures … can be detected and repaired as a side \
          effect of normal processing\" — which requires the normal \
          read/write path to run at hardware speed.",
@@ -1202,14 +1202,16 @@ fn e14_perf_baseline() {
         std::hint::black_box(acc);
         (n * page.len() as u64) as f64 / t0.elapsed().as_secs_f64() / 1e6
     };
-    let slice8 = crc_mb_s(&|d| spf_util::crc32c(d));
+    let dispatched = crc_mb_s(&|d| spf_util::crc32c(d));
+    let slice8 = crc_mb_s(&|d| spf_util::crc32c_portable(d));
     let bytewise = crc_mb_s(&|d| spf_util::crc32c_bytewise(d));
 
     // --- Buffer-pool fetch throughput across thread counts (shared
     // harness with the buffer_pool bench).
     let fetch_ops_per_s = |db: &spf::Database, threads: usize, total: u64| {
         let leaves = db.leaf_pages();
-        let wall = spf_bench::concurrent_fetch_time(db, &leaves, threads, total);
+        let wall = spf_bench::concurrent_fetch_time(db, &leaves, threads, total)
+            .expect("e14 fetch workers");
         total as f64 / wall.as_secs_f64()
     };
 
@@ -1249,10 +1251,10 @@ fn e14_perf_baseline() {
     table.row(&fmt_row("fetch, thrashing (miss + verify)", &miss_ops));
     table.row(&[
         "CRC-32C 8 KiB page".into(),
+        format!("dispatched: {dispatched:.0} MB/s"),
         format!("slice-by-8: {slice8:.0} MB/s"),
         format!("bytewise: {bytewise:.0} MB/s"),
-        ratio(slice8, bytewise),
-        String::new(),
+        ratio(dispatched, slice8),
     ]);
     table.print();
 
@@ -1265,17 +1267,19 @@ fn e14_perf_baseline() {
     // One machine-readable line (stable `PERF_JSON ` prefix) per run; CI
     // and future PRs grep it out to track the perf trajectory.
     println!(
-        "PERF_JSON {{\"experiment\":\"e14\",\"crc_slice8_mb_s\":{slice8:.1},\
-         \"crc_bytewise_mb_s\":{bytewise:.1},\
+        "PERF_JSON {{\"experiment\":\"e14\",\"crc_mb_s\":{dispatched:.1},\
+         \"crc_slice8_mb_s\":{slice8:.1},\"crc_bytewise_mb_s\":{bytewise:.1},\
          \"fetch_hit_ops_per_s\":{{{}}},\"fetch_miss_ops_per_s\":{{{}}}}}",
         json_pairs(&hit_ops),
         json_pairs(&miss_ops),
     );
     println!(
-        "shape check: miss-path throughput is CRC-bound (≈{:.0} pages/s at \
-         {slice8:.0} MB/s); thread scaling reflects the sharded, \
-         I/O-decoupled pool on multi-core hosts (flat on single-CPU CI).",
-        slice8 * 1e6 / 8192.0
+        "shape check: the page checksum costs ≈{:.2} µs per miss at \
+         {dispatched:.0} MB/s (≈{:.2} µs on the portable slice-by-8 path); \
+         thread scaling reflects the sharded, I/O-decoupled pool on \
+         multi-core hosts (flat on single-CPU CI).",
+        8192.0 / dispatched,
+        8192.0 / slice8,
     );
 }
 
@@ -1417,9 +1421,6 @@ fn e15_archive_truncation() {
 // as forces-per-commit dropping below 1 and bytes-per-force growing.
 // ======================================================================
 fn e16_wal_group_commit() {
-    use std::sync::Barrier;
-    use std::time::Instant;
-
     use spf_txn::{TxKind, TxnManager};
     use spf_wal::{LogManager, LogPayload, LogRecord, Lsn, PageOp, TxId};
 
@@ -1450,25 +1451,15 @@ fn e16_wal_group_commit() {
     let append_ops_per_s = |threads: usize, total: u64| {
         let log = LogManager::for_testing();
         let per_thread = total.div_ceil(threads as u64);
-        let barrier = Barrier::new(threads + 1);
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let log = log.clone();
-                let barrier = &barrier;
-                s.spawn(move || {
-                    let rec = update(t as u64 + 1, t as u64);
-                    barrier.wait();
-                    for _ in 0..per_thread {
-                        std::hint::black_box(log.append(&rec));
-                    }
-                    barrier.wait();
-                });
+        let wall = spf_bench::timed_workers(threads, |t| {
+            let rec = update(t as u64 + 1, t as u64);
+            for _ in 0..per_thread {
+                std::hint::black_box(log.append(&rec));
             }
-            barrier.wait();
-            let start = Instant::now();
-            barrier.wait();
-            total as f64 / start.elapsed().as_secs_f64()
+            Ok(())
         })
+        .expect("e16 append workers");
+        total as f64 / wall.as_secs_f64()
     };
     let append_ops: Vec<(usize, f64)> = thread_counts
         .iter()
@@ -1480,36 +1471,25 @@ fn e16_wal_group_commit() {
     let commit_run = |threads: usize| {
         let log = LogManager::for_testing();
         let mgr = TxnManager::new(log.clone());
-        let barrier = Barrier::new(threads + 1);
-        let wall = std::thread::scope(|s| {
-            for t in 0..threads {
-                let mgr = mgr.clone();
-                let barrier = &barrier;
-                s.spawn(move || {
-                    barrier.wait();
-                    for _ in 0..COMMITS_PER_THREAD {
-                        let tx = mgr.begin(TxKind::User);
-                        mgr.log_update(
-                            tx,
-                            PageId(t as u64),
-                            Lsn::NULL,
-                            PageOp::InsertRecord {
-                                pos: 0,
-                                bytes: vec![7u8; 64],
-                                ghost: false,
-                            },
-                        )
-                        .unwrap();
-                        mgr.commit(tx).unwrap();
-                    }
-                    barrier.wait();
-                });
+        let wall = spf_bench::timed_workers(threads, |t| {
+            for _ in 0..COMMITS_PER_THREAD {
+                let tx = mgr.begin(TxKind::User);
+                mgr.log_update(
+                    tx,
+                    PageId(t as u64),
+                    Lsn::NULL,
+                    PageOp::InsertRecord {
+                        pos: 0,
+                        bytes: vec![7u8; 64],
+                        ghost: false,
+                    },
+                )
+                .map_err(|e| e.to_string())?;
+                mgr.commit(tx).map_err(|e| e.to_string())?;
             }
-            barrier.wait();
-            let start = Instant::now();
-            barrier.wait();
-            start.elapsed()
-        });
+            Ok(())
+        })
+        .expect("e16 commit workers");
         let commits = threads as u64 * COMMITS_PER_THREAD;
         let stats = log.stats();
         let commits_per_s = commits as f64 / wall.as_secs_f64();
@@ -1831,6 +1811,17 @@ fn e17_online_scrubbing() {
     );
 }
 
+/// Drives one worker's `put_auto` stream (e18, e22). The first error ends
+/// the worker and comes back through its join handle.
+fn put_stream(db: &spf::Database, stream: &[spf_workload::Op]) -> Result<(), String> {
+    for op in stream {
+        if let spf_workload::Op::Put { key, value } = op {
+            db.put_auto(key, value).map_err(|e| e.to_string())?;
+        }
+    }
+    Ok(())
+}
+
 // ======================================================================
 // E18 — spf-btree: concurrent Foster B-tree throughput. The paper's
 // verification-as-side-effect claim only matters if the verified tree
@@ -1842,9 +1833,6 @@ fn e17_online_scrubbing() {
 // the log belongs to exactly one record) under concurrent commits.
 // ======================================================================
 fn e18_concurrent_tree() {
-    use std::sync::Barrier;
-    use std::time::Instant;
-
     use spf::Lsn;
     use spf_workload::{ConcurrentWorkload, KeyPartition, Op};
 
@@ -1872,26 +1860,8 @@ fn e18_concurrent_tree() {
         let streams: Vec<Vec<Op>> = (0..threads)
             .map(|t| wl.thread_ops(t, OPS_PER_THREAD))
             .collect();
-        let barrier = Barrier::new(threads + 1);
-        let wall = std::thread::scope(|s| {
-            for stream in &streams {
-                let db = &db;
-                let barrier = &barrier;
-                s.spawn(move || {
-                    barrier.wait();
-                    for op in stream {
-                        if let Op::Put { key, value } = op {
-                            db.put_auto(key, value).unwrap();
-                        }
-                    }
-                    barrier.wait();
-                });
-            }
-            barrier.wait();
-            let start = Instant::now();
-            barrier.wait();
-            start.elapsed()
-        });
+        let wall = spf_bench::timed_workers(threads, |t| put_stream(&db, &streams[t]))
+            .expect("e18 put_auto workers");
 
         // (b) Zero lost updates: the tree's final state must equal the
         // workload's per-key last write, exactly.
@@ -2260,9 +2230,6 @@ fn e19_crash_restart_oracle() {
 // ======================================================================
 
 fn e20_observability() {
-    use std::sync::Barrier;
-    use std::time::Instant;
-
     use spf::EventKind;
     use spf_workload::{ConcurrentWorkload, KeyPartition, Op, OpLatencyProbe};
 
@@ -2293,27 +2260,17 @@ fn e20_observability() {
             .map(|t| wl.thread_ops(t, OPS_PER_THREAD))
             .collect();
         let probe = OpLatencyProbe::new();
-        let barrier = Barrier::new(THREADS + 1);
-        let wall = std::thread::scope(|s| {
-            for stream in &streams {
-                let db = &db;
-                let barrier = &barrier;
-                let probe = probe.clone();
-                s.spawn(move || {
-                    barrier.wait();
-                    for op in stream {
-                        if let Op::Put { key, value } = op {
-                            probe.timed(|| db.put_auto(key, value).unwrap());
-                        }
-                    }
-                    barrier.wait();
-                });
+        let wall = spf_bench::timed_workers(THREADS, |t| {
+            for op in &streams[t] {
+                if let Op::Put { key, value } = op {
+                    probe
+                        .timed(|| db.put_auto(key, value))
+                        .map_err(|e| e.to_string())?;
+                }
             }
-            barrier.wait();
-            let start = Instant::now();
-            barrier.wait();
-            start.elapsed()
-        });
+            Ok(())
+        })
+        .expect("e20 put_auto workers");
         let commits = (THREADS * OPS_PER_THREAD) as f64;
         (commits / wall.as_secs_f64(), probe.snapshot())
     };
@@ -2762,8 +2719,6 @@ fn e22_child() -> ! {
 fn e22_causal_tracing() {
     use std::collections::HashMap;
     use std::process::Command;
-    use std::sync::Barrier;
-    use std::time::Instant;
 
     use spf_obs::{BlackBox, EventKind, SpanKind, WaitClass, BLACKBOX_FILE};
     use spf_workload::{ConcurrentWorkload, KeyPartition, Op};
@@ -2798,26 +2753,8 @@ fn e22_causal_tracing() {
         let streams: Vec<Vec<Op>> = (0..THREADS)
             .map(|t| wl.thread_ops(t, OPS_PER_THREAD))
             .collect();
-        let barrier = Barrier::new(THREADS + 1);
-        let wall = std::thread::scope(|s| {
-            for stream in &streams {
-                let db = &db;
-                let barrier = &barrier;
-                s.spawn(move || {
-                    barrier.wait();
-                    for op in stream {
-                        if let Op::Put { key, value } = op {
-                            db.put_auto(key, value).unwrap();
-                        }
-                    }
-                    barrier.wait();
-                });
-            }
-            barrier.wait();
-            let start = Instant::now();
-            barrier.wait();
-            start.elapsed()
-        });
+        let wall = spf_bench::timed_workers(THREADS, |t| put_stream(&db, &streams[t]))
+            .expect("e22 put_auto workers");
         (THREADS * OPS_PER_THREAD) as f64 / wall.as_secs_f64()
     };
 
@@ -2870,21 +2807,8 @@ fn e22_causal_tracing() {
         let streams: Vec<Vec<Op>> = (0..THREADS)
             .map(|t| wl.thread_ops(t, 40 + round)) // vary length round to round
             .collect();
-        let barrier = Barrier::new(THREADS);
-        std::thread::scope(|s| {
-            for stream in &streams {
-                let db = &db;
-                let barrier = &barrier;
-                s.spawn(move || {
-                    barrier.wait();
-                    for op in stream {
-                        if let Op::Put { key, value } = op {
-                            db.put_auto(key, value).unwrap();
-                        }
-                    }
-                });
-            }
-        });
+        spf_bench::timed_workers(THREADS, |t| put_stream(&db, &streams[t]))
+            .expect("e22 traced put_auto workers");
         let stitched = db.drain_trace_trees();
         // Index every span (tree or orphan) for cross-trace link lookup.
         let mut by_id: HashMap<u64, (SpanKind, u64)> = HashMap::new();

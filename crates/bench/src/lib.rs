@@ -6,6 +6,10 @@
 
 #![forbid(unsafe_code)]
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::RwLock;
+use std::time::{Duration, Instant};
+
 use spf::{Database, DatabaseConfig, PageId, TxId};
 
 /// Standard key encoding used across experiments.
@@ -51,36 +55,79 @@ pub fn engine(f: impl FnOnce(&mut DatabaseConfig)) -> Database {
     Database::create(config).expect("create database")
 }
 
+/// Runs `work(0) .. work(workers - 1)` on scoped threads released
+/// together once all have started, and returns the wall time from the
+/// release until the last worker has finished.
+///
+/// The run is timed through the workers' join handles, not a closing
+/// barrier, so a worker that returns `Err` or panics cannot leave the
+/// caller blocked: every worker is joined, then the first failure comes
+/// back as `Err` (a panic as its message). The start gate is a lock the
+/// caller holds while spawning, which a panic on its side releases too.
+pub fn timed_workers<F>(workers: usize, work: F) -> Result<Duration, String>
+where
+    F: Fn(usize) -> Result<(), String> + Sync,
+{
+    let gate = RwLock::new(());
+    let started = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        let hold = gate.write().expect("fresh lock is not poisoned");
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                let (gate, started, work) = (&gate, &started, &work);
+                s.spawn(move || {
+                    started.fetch_add(1, Ordering::Relaxed);
+                    drop(gate.read());
+                    work(w)
+                })
+            })
+            .collect();
+        while started.load(Ordering::Relaxed) < workers {
+            std::thread::yield_now();
+        }
+        let start = Instant::now();
+        drop(hold);
+        let mut first_err = None;
+        for (w, handle) in handles.into_iter().enumerate() {
+            let err = match handle.join() {
+                Ok(Ok(())) => continue,
+                Ok(Err(e)) => format!("worker {w} failed: {e}"),
+                Err(panic) => format!("worker {w} panicked: {}", panic_message(&*panic)),
+            };
+            first_err.get_or_insert(err);
+        }
+        let wall = start.elapsed();
+        first_err.map_or(Ok(wall), Err)
+    })
+}
+
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
 /// Wall-clock time for `iters` buffer-pool fetches spread across
 /// `threads` workers, each walking `leaves` from a different offset with
-/// a shared stride. Thread spawn/teardown is excluded via barriers.
-/// Shared by the `buffer_pool` bench and the e14 perf experiment.
+/// a shared stride (see [`timed_workers`]). Shared by the `buffer_pool`
+/// bench and the e14 perf experiment.
 pub fn concurrent_fetch_time(
     db: &Database,
     leaves: &[PageId],
     threads: usize,
     iters: u64,
-) -> std::time::Duration {
+) -> Result<Duration, String> {
     let per_thread = iters.div_ceil(threads as u64);
-    let barrier = std::sync::Barrier::new(threads + 1);
-    std::thread::scope(|s| {
-        for t in 0..threads {
-            let pool = db.pool().clone();
-            let barrier = &barrier;
-            s.spawn(move || {
-                let mut i = t * 997;
-                barrier.wait();
-                for _ in 0..per_thread {
-                    i = (i + 13) % leaves.len();
-                    std::hint::black_box(pool.fetch(leaves[i]).unwrap());
-                }
-                barrier.wait();
-            });
+    timed_workers(threads, |t| {
+        let pool = db.pool();
+        let mut i = t * 997;
+        for _ in 0..per_thread {
+            i = (i + 13) % leaves.len();
+            std::hint::black_box(pool.fetch(leaves[i]).map_err(|e| e.to_string())?);
         }
-        barrier.wait();
-        let start = std::time::Instant::now();
-        barrier.wait();
-        start.elapsed()
+        Ok(())
     })
 }
 
@@ -148,5 +195,59 @@ pub fn ratio(a: f64, b: f64) -> String {
         "∞".to_string()
     } else {
         format!("{:.1}×", a / b)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    /// Runs `f` on its own thread and fails the test if it has not
+    /// returned within a minute, so a regression shows as a failure
+    /// instead of a hung test run.
+    fn within_a_minute<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || tx.send(f()).expect("receiver alive"));
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("timed_workers hung")
+    }
+
+    #[test]
+    fn panicking_worker_yields_err_not_a_hang() {
+        let result = within_a_minute(|| {
+            timed_workers(3, |w| {
+                if w == 1 {
+                    panic!("worker one gives up");
+                }
+                std::thread::sleep(Duration::from_millis(20));
+                Ok(())
+            })
+        });
+        let err = result.expect_err("a panicked worker must fail the run");
+        assert!(
+            err.contains("worker 1 panicked: worker one gives up"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn failing_worker_yields_its_error() {
+        let result = within_a_minute(|| {
+            timed_workers(2, |w| if w == 0 { Err("boom".into()) } else { Ok(()) })
+        });
+        assert_eq!(result.unwrap_err(), "worker 0 failed: boom");
+    }
+
+    #[test]
+    fn clean_run_times_every_worker() {
+        let wall = within_a_minute(|| {
+            timed_workers(2, |_| {
+                std::thread::sleep(Duration::from_millis(30));
+                Ok(())
+            })
+        })
+        .expect("no worker fails");
+        assert!(wall >= Duration::from_millis(30), "{wall:?}");
     }
 }

@@ -214,12 +214,25 @@ fn readers_see_all_committed_keys_during_splits_and_adoptions() {
     let fx = fixture(512, 8192);
     let tree = foster_tree(&fx, VerifyMode::Continuous);
     let watermark = AtomicU64::new(0);
+    let writer_done = AtomicBool::new(false);
+
+    /// Raised when the writer's closure exits, by return or by panic, so
+    /// the readers stop and the scope reports a failed writer instead of
+    /// spinning forever on a watermark that will never reach `TOTAL`.
+    struct RaiseOnExit<'a>(&'a AtomicBool);
+    impl Drop for RaiseOnExit<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Release);
+        }
+    }
 
     std::thread::scope(|s| {
         let tree = &tree;
         let txn = &fx.txn;
         let watermark = &watermark;
+        let writer_done = &writer_done;
         s.spawn(move || {
+            let _done = RaiseOnExit(writer_done);
             let mut tx = txn.begin(TxKind::User);
             for i in 0..TOTAL {
                 tree.insert(tx, &key(i), &val(0, i)).unwrap();
@@ -235,6 +248,7 @@ fn readers_see_all_committed_keys_during_splits_and_adoptions() {
             s.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(77 + r as u64);
                 loop {
+                    let writer_exited = writer_done.load(Ordering::Acquire);
                     let committed = watermark.load(Ordering::Acquire);
                     if committed > 0 {
                         let i = rng.gen_range(0..committed);
@@ -251,7 +265,7 @@ fn readers_see_all_committed_keys_during_splits_and_adoptions() {
                             "scan produced unsorted or duplicate keys"
                         );
                     }
-                    if committed == TOTAL {
+                    if committed == TOTAL || writer_exited {
                         break;
                     }
                 }

@@ -7,8 +7,10 @@ use std::path::Path;
 use std::process::Command;
 
 use spf::{
-    ArchiveConfig, CorruptionMode, Database, DatabaseConfig, DetectorClass, FaultSpec, ScrubConfig,
+    ArchiveConfig, BackupPolicy, CorruptionMode, Database, DatabaseConfig, DetectorClass,
+    FaultSpec, PageId, ScrubConfig,
 };
+use spf_wal::BackupRef;
 use tempdir::TempDir;
 
 fn key(i: u64) -> Vec<u8> {
@@ -112,6 +114,112 @@ fn manifest_survives_wal_truncation_cycle() {
             Some(val(i, 0).as_slice())
         );
     }
+}
+
+/// Truncation that unlinks whole WAL segment files moves the reopened
+/// log's first byte past the first 64 KiB in-memory buffer segment;
+/// reopening must resume the log there, not at offset zero.
+#[test]
+fn reopen_after_truncating_wal_files_past_a_buffer_segment() {
+    let tmp = TempDir::new("spf-trunc-reopen").unwrap();
+    let dir = tmp.path().join("db");
+    let config = DatabaseConfig {
+        archive: ArchiveConfig::default_on(),
+        ..file_config()
+    };
+    let n = 1500u64;
+    let big_val = |i: u64, generation: u64| {
+        let mut v = val(i, generation);
+        v.resize(100, b'.');
+        v
+    };
+
+    let db = Database::create_at(config, &dir).unwrap();
+    // Batched transactions: one WAL force per 250 updates keeps the
+    // test fast on a real disk while writing well over 256 KiB (one
+    // default WAL segment file) of log.
+    for generation in 0..3 {
+        for batch in (0..n).step_by(250) {
+            let tx = db.begin();
+            for i in batch..batch + 250 {
+                db.put(tx, &key(i), &big_val(i, generation)).unwrap();
+            }
+            db.commit(tx).unwrap();
+        }
+    }
+    db.checkpoint().unwrap();
+    db.archive_now().unwrap();
+    let dropped = db.truncate_wal().unwrap();
+    assert!(
+        dropped > 2 * spf_wal::sink::DEFAULT_SEGMENT_BYTES,
+        "the truncation must unlink at least one WAL file, dropped {dropped} B"
+    );
+    db.close().unwrap();
+
+    let db = Database::open(&dir, config).unwrap();
+    assert!(db.log().truncate_point().0 >= 64 * 1024);
+    for i in 0..n {
+        assert_eq!(
+            db.get(&key(i)).unwrap(),
+            Some(big_val(i, 2)),
+            "key {i} wrong or missing"
+        );
+    }
+    assert!(db.verify_tree().unwrap().is_empty());
+}
+
+/// A policy page backup is synced before the `BackupTaken` record that
+/// points the page recovery index at it is appended, so a kill can never
+/// leave a durable record pointing at a slot the backup file never got.
+/// After the kill, corrupting the page must repair from that backup
+/// without escalation.
+#[test]
+fn policy_backup_survives_a_kill_and_repairs_its_page() {
+    let tmp = TempDir::new("spf-backup-kill").unwrap();
+    let dir = tmp.path().join("db");
+    let config = DatabaseConfig {
+        backup_policy: BackupPolicy {
+            every_n_updates: Some(8),
+        },
+        ..file_config()
+    };
+
+    let db = Database::create_at(config, &dir).unwrap();
+    for generation in 0..4 {
+        load(&db, 300, generation);
+    }
+    // Write-back of pages with many updates takes the policy backups.
+    db.checkpoint().unwrap();
+    db.pool().flush_all().unwrap();
+    let backed_up = |db: &Database| -> Vec<(u64, u64)> {
+        db.pri()
+            .dump()
+            .into_iter()
+            .filter(|(_, _, e)| matches!(e.backup, BackupRef::BackupPage(_)))
+            .map(|(start, end, _)| (start, end))
+            .collect()
+    };
+    let before = backed_up(&db);
+    assert!(
+        !before.is_empty(),
+        "the policy must have taken a page backup"
+    );
+    db.log().force(); // the BackupTaken records are durable
+    drop(db); // the kill: the backup file's write cache is lost
+
+    let db = Database::open(&dir, config).unwrap();
+    assert_eq!(backed_up(&db), before, "restart rebuilds the same PRI");
+    let victim = PageId(before[0].0);
+    db.inject_fault(
+        victim,
+        FaultSpec::SilentCorruption(CorruptionMode::ZeroPage),
+    );
+    db.drop_cache();
+
+    assert_all(&db, 300, 3);
+    let stats = db.stats();
+    assert!(stats.spf.from_backup_page >= 1, "{:?}", stats.spf);
+    assert_eq!(stats.spf.escalations, 0, "{:?}", stats.spf);
 }
 
 // ----------------------------------------------------------------------

@@ -109,14 +109,19 @@ impl BackupStore {
         PageId(slot)
     }
 
-    /// Writes an explicit backup copy of `page`, returning the backup
-    /// slot. The caller frees the previous copy *afterwards* (the paper's
-    /// ordering: for an instant, old and new backups coexist).
+    /// Writes an explicit backup copy of `page` and syncs it, returning
+    /// the backup slot. The caller frees the previous copy *afterwards*
+    /// (the paper's ordering: for an instant, old and new backups
+    /// coexist). The sync comes first because the caller then logs a
+    /// `BackupTaken` record pointing at the slot: that record must never
+    /// be durable while the image is not, or after a crash the page
+    /// recovery index would point at a slot that reads zeros.
     pub fn take_page_backup(&self, page: &Page) -> Result<PageId, StorageError> {
         let slot = self.allocate_slot();
         let mut image = page.clone();
         image.finalize_checksum();
         self.device.write_page(slot, image.as_bytes())?;
+        self.device.sync()?;
         self.state.lock().stats.page_backups_taken += 1;
         Ok(slot)
     }
@@ -144,8 +149,9 @@ impl BackupStore {
     }
 
     /// Takes a full backup of `data` pages `[0, n)`: sequential read of
-    /// the database, sequential write of the backup. Returns the first
-    /// backup slot; page `i` lands at `first + i`.
+    /// the database, sequential write of the backup, then one sync (for
+    /// the same reason as [`take_page_backup`](Self::take_page_backup)).
+    /// Returns the first backup slot; page `i` lands at `first + i`.
     ///
     /// The data pages are read through the *raw* (fault-bypassing) path:
     /// a real backup would read through the same verification as any
@@ -167,6 +173,7 @@ impl BackupStore {
             data.read_page_seq(PageId(i), &mut buf)?;
             self.device.write_page_seq(PageId(first + i), &buf)?;
         }
+        self.device.sync()?;
         self.state.lock().stats.full_backup_pages += n;
         Ok(PageId(first))
     }

@@ -559,6 +559,41 @@ mod tests {
         }
     }
 
+    /// A single bit flip anywhere in the checksummed region fails
+    /// `verify`, including at the edges of the lanes the dispatched CRC
+    /// kernel runs on separate streams: two blocks of three 1,360-byte
+    /// lanes, then a 28-byte single-stream tail.
+    #[test]
+    fn checksum_catches_bit_flip_in_every_crc_lane() {
+        const LANE: usize = 1360;
+        let mut p = page();
+        p.set_page_lsn(0x0123_4567);
+        p.finalize_checksum();
+        let region = OFF_PAGE_LSN..p.size();
+        assert_eq!(region.len(), 2 * 3 * LANE + 28);
+        let mut offsets = Vec::new();
+        for lane in 0..6 {
+            let start = region.start + lane * LANE;
+            offsets.extend([start, start + 1, start + LANE / 2, start + LANE - 1]);
+        }
+        let tail = region.start + 6 * LANE;
+        offsets.extend([tail, tail + 13, region.end - 1]);
+        for off in offsets {
+            for bit in [0, 7] {
+                p.as_bytes_mut()[off] ^= 1 << bit;
+                assert!(
+                    matches!(
+                        p.verify(PageId(7)),
+                        Err(PageDefect::ChecksumMismatch { .. })
+                    ),
+                    "flip of bit {bit} at byte {off} went undetected"
+                );
+                p.as_bytes_mut()[off] ^= 1 << bit;
+            }
+        }
+        assert_eq!(p.verify(PageId(7)), Ok(()));
+    }
+
     #[test]
     fn checksum_catches_lsn_corruption() {
         // The PageLSN is inside the checksummed region: random corruption

@@ -1,4 +1,5 @@
-//! Software CRC-32C (Castagnoli polynomial, reflected), slicing-by-8.
+//! CRC-32C (Castagnoli polynomial, reflected), dispatched at run time to a
+//! hardware kernel where the CPU has one.
 //!
 //! Every database page in this workspace carries a CRC-32C over its payload
 //! (see `spf-storage`). A checksum mismatch on read is the canonical
@@ -6,18 +7,42 @@
 //! be discovered by in-page tests, e.g., parity and checksum calculations").
 //! The checksum therefore runs on every verified device read and on every
 //! write-back of a page, so its throughput sits squarely on the buffer
-//! pool's hot path.
+//! pool's miss path. CRC-32C was chosen over CRC-32 (IEEE) because it is
+//! what production engines use for page checksums (e.g. PostgreSQL data
+//! checksums, RocksDB block checksums), because x86 has an instruction for
+//! it, and because it detects all single-bit and all two-bit errors within
+//! a page-sized payload.
 //!
-//! The implementation is **slicing-by-8**: eight 256-entry tables computed
-//! at compile time let the inner loop consume eight bytes per iteration
-//! with eight independent table lookups, instead of the classic
-//! byte-at-a-time loop's one lookup per byte with a serial dependency
-//! between all of them. The bytewise variant is retained (as
-//! [`crc32c_bytewise`]) as the reference oracle for tests and benchmarks.
-//! CRC-32C was chosen over CRC-32 (IEEE) because it is what production
-//! engines use for page checksums (e.g. PostgreSQL data checksums, RocksDB
-//! block checksums) and it detects all single-bit and all two-bit errors
-//! within a page-sized payload.
+//! # Dispatch
+//!
+//! [`crc32c`] and [`Crc32c::update`] pick a kernel on every call; the CPU
+//! probe behind `is_x86_feature_detected!` runs once and is cached, so the
+//! choice costs one load and a branch. All kernels are bit-identical.
+//!
+//! * **x86-64 with SSE4.2:** three interleaved streams of the `crc32`
+//!   instruction, after Gopal et al., *"Fast CRC Computation for iSCSI
+//!   Polynomial Using CRC32 Instruction"* (Intel, 2011). One stream is
+//!   bound by the instruction's 3-cycle latency; three independent
+//!   streams over three adjacent lanes of a block keep its one-per-cycle
+//!   throughput busy. The lane CRCs are then joined by a *zero-shift*:
+//!   advancing a CRC state over `n` zero bytes is multiplication by
+//!   `x^(8n) mod P`, a linear map on the 32-bit state, which
+//!   `build_shift` tabulates at compile time as four 256-entry tables.
+//!   A single stream handles inputs shorter than one block and the tail.
+//! * **Everywhere else: slicing-by-8.** Eight 256-entry tables computed at
+//!   compile time let the inner loop consume eight bytes per iteration
+//!   with eight independent lookups, instead of the byte-at-a-time loop's
+//!   one lookup per byte with a serial dependency between all of them.
+//!   It stays because it is the only path on CPUs without the instruction
+//!   (other architectures, or x86 without SSE4.2); [`crc32c_portable`]
+//!   runs it on any CPU so it is tested and benchmarked on every machine.
+//!
+//! The bytewise loop is retained as [`crc32c_bytewise`], the reference
+//! oracle both kernels are tested against.
+//!
+//! On a 2-vCPU x86-64 VM, the 8,188-byte checksummed region of a page
+//! takes about 7.0 µs with slicing-by-8 and about 0.5 µs with the
+//! three-stream kernel.
 
 /// Reflected CRC-32C (Castagnoli) polynomial.
 const POLY: u32 = 0x82F6_3B78;
@@ -37,11 +62,7 @@ const fn build_tables() -> [[u32; 256]; 8] {
         let mut crc = i as u32;
         let mut bit = 0;
         while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ POLY
-            } else {
-                crc >> 1
-            };
+            crc = mul_x(crc);
             bit += 1;
         }
         tables[0][i] = crc;
@@ -60,6 +81,71 @@ const fn build_tables() -> [[u32; 256]; 8] {
     tables
 }
 
+/// One bit step of the CRC register: multiplication by `x` modulo the
+/// polynomial, in the reflected representation (bit 31 holds `x^0`).
+const fn mul_x(v: u32) -> u32 {
+    if v & 1 != 0 {
+        (v >> 1) ^ POLY
+    } else {
+        v >> 1
+    }
+}
+
+/// `a · b mod P` in the reflected representation.
+const fn mul_mod_p(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut bit = 0;
+    while bit < 32 {
+        if a & (1 << (31 - bit)) != 0 {
+            product ^= b;
+        }
+        b = mul_x(b);
+        bit += 1;
+    }
+    product
+}
+
+/// Bytes per lane of an interleaved block. Three lanes of 1,360 B are
+/// 4,080 B, so the 8,188-byte checksummed region of a page is two blocks
+/// and a 28-byte tail.
+const LANE: usize = 1360;
+
+/// Zero-shift table: `SHIFT[k][b]` is the raw CRC state `b << 8k`
+/// advanced over one lane of zero bytes.
+const SHIFT: [[u32; 256]; 4] = build_shift(LANE);
+
+/// Tabulates the linear map "advance a raw CRC state over `zero_bytes`
+/// zero bytes", i.e. multiplication by `x^(8·zero_bytes) mod P`, one table
+/// per state byte.
+const fn build_shift(zero_bytes: usize) -> [[u32; 256]; 4] {
+    let mut x_pow: u32 = 1 << 31;
+    let mut i = 0;
+    while i < 8 * zero_bytes {
+        x_pow = mul_x(x_pow);
+        i += 1;
+    }
+    let mut table = [[0u32; 256]; 4];
+    let mut k = 0;
+    while k < 4 {
+        let mut b = 0;
+        while b < 256 {
+            table[k][b] = mul_mod_p(x_pow, (b as u32) << (8 * k));
+            b += 1;
+        }
+        k += 1;
+    }
+    table
+}
+
+/// Advances a raw CRC state over one lane of zero bytes.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+fn shift(crc: u32) -> u32 {
+    SHIFT[0][(crc & 0xFF) as usize]
+        ^ SHIFT[1][((crc >> 8) & 0xFF) as usize]
+        ^ SHIFT[2][((crc >> 16) & 0xFF) as usize]
+        ^ SHIFT[3][(crc >> 24) as usize]
+}
+
 /// Computes the CRC-32C of `data` in one shot.
 ///
 /// ```
@@ -68,16 +154,36 @@ const fn build_tables() -> [[u32; 256]; 8] {
 /// ```
 #[must_use]
 pub fn crc32c(data: &[u8]) -> u32 {
-    let mut hasher = Crc32c::new();
-    hasher.update(data);
-    hasher.finalize()
+    !update(!0, data)
+}
+
+/// CRC-32C on the portable slicing-by-8 kernel, whatever the CPU.
+/// Bit-identical to [`crc32c`]; exposed so the portable path is tested and
+/// benchmarked on machines where [`crc32c`] dispatches to hardware.
+#[must_use]
+pub fn crc32c_portable(data: &[u8]) -> u32 {
+    !update_portable(!0, data)
 }
 
 /// Reference byte-at-a-time CRC-32C. Bit-identical to [`crc32c`]; kept as
-/// the oracle the slicing-by-8 path is tested and benchmarked against.
+/// the oracle both kernels are tested and benchmarked against.
 #[must_use]
 pub fn crc32c_bytewise(data: &[u8]) -> u32 {
     !update_bytewise(!0, data)
+}
+
+/// Advances a raw CRC state over `data` on the fastest kernel this CPU
+/// has.
+#[allow(unsafe_code)]
+fn update(crc: u32, data: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("sse4.2") {
+        // SAFETY: `hw::update` is safe apart from its `sse4.2` target
+        // feature, and the runtime check above has just confirmed that
+        // this CPU supports SSE4.2.
+        return unsafe { hw::update(crc, data) };
+    }
+    update_portable(crc, data)
 }
 
 fn update_bytewise(mut crc: u32, data: &[u8]) -> u32 {
@@ -86,6 +192,84 @@ fn update_bytewise(mut crc: u32, data: &[u8]) -> u32 {
         crc = (crc >> 8) ^ TABLES[0][idx];
     }
     crc
+}
+
+/// Slicing-by-8: eight bytes per iteration.
+fn update_portable(mut crc: u32, data: &[u8]) -> u32 {
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        // Fold the running CRC into the first four bytes, then look up
+        // all eight bytes in independent tables: no serial dependency
+        // between lookups, unlike the bytewise loop.
+        let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ crc;
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        crc = TABLES[7][(lo & 0xFF) as usize]
+            ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
+            ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
+            ^ TABLES[4][(lo >> 24) as usize]
+            ^ TABLES[3][(hi & 0xFF) as usize]
+            ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
+            ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
+            ^ TABLES[0][(hi >> 24) as usize];
+    }
+    update_bytewise(crc, chunks.remainder())
+}
+
+/// The SSE4.2 kernel: three interleaved `crc32` streams per block.
+#[cfg(target_arch = "x86_64")]
+mod hw {
+    use super::{shift, LANE};
+    use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
+
+    #[target_feature(enable = "sse4.2")]
+    pub(super) fn update(mut crc: u32, mut data: &[u8]) -> u32 {
+        while let Some((block, rest)) = data.split_at_checked(3 * LANE) {
+            crc = interleaved(crc, block);
+            data = rest;
+        }
+        single(crc, data)
+    }
+
+    /// CRCs a block of three lanes on three independent streams, then
+    /// joins them: `crc(a‖b‖c) = shift(shift(a) ^ b) ^ c`, where streams
+    /// `b` and `c` start from a zero state.
+    #[target_feature(enable = "sse4.2")]
+    fn interleaved(crc: u32, block: &[u8]) -> u32 {
+        let (a, rest) = block.split_at(LANE);
+        let (b, c) = rest.split_at(LANE);
+        let (mut crc_a, mut crc_b, mut crc_c) = (u64::from(crc), 0u64, 0u64);
+        for ((wa, wb), wc) in a
+            .chunks_exact(8)
+            .zip(b.chunks_exact(8))
+            .zip(c.chunks_exact(8))
+        {
+            crc_a = _mm_crc32_u64(crc_a, word(wa));
+            crc_b = _mm_crc32_u64(crc_b, word(wb));
+            crc_c = _mm_crc32_u64(crc_c, word(wc));
+        }
+        // The instruction leaves the state in the low 32 bits.
+        let ab = shift(crc_a as u32) ^ crc_b as u32;
+        shift(ab) ^ crc_c as u32
+    }
+
+    /// One stream: eight bytes per instruction, then the odd bytes.
+    #[target_feature(enable = "sse4.2")]
+    fn single(crc: u32, data: &[u8]) -> u32 {
+        let mut words = data.chunks_exact(8);
+        let mut crc64 = u64::from(crc);
+        for w in &mut words {
+            crc64 = _mm_crc32_u64(crc64, word(w));
+        }
+        let mut crc = crc64 as u32;
+        for &byte in words.remainder() {
+            crc = _mm_crc32_u8(crc, byte);
+        }
+        crc
+    }
+
+    fn word(bytes: &[u8]) -> u64 {
+        u64::from_le_bytes(bytes.try_into().expect("chunks_exact(8) yields 8 bytes"))
+    }
 }
 
 /// Incremental CRC-32C hasher for multi-fragment payloads.
@@ -104,26 +288,9 @@ impl Crc32c {
         Self { state: !0 }
     }
 
-    /// Feeds `data` into the checksum, eight bytes per iteration.
+    /// Feeds `data` into the checksum on the same kernel as [`crc32c`].
     pub fn update(&mut self, data: &[u8]) {
-        let mut crc = self.state;
-        let mut chunks = data.chunks_exact(8);
-        for chunk in &mut chunks {
-            // Fold the running CRC into the first four bytes, then look up
-            // all eight bytes in independent tables: no serial dependency
-            // between lookups, unlike the bytewise loop.
-            let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ crc;
-            let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
-            crc = TABLES[7][(lo & 0xFF) as usize]
-                ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
-                ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
-                ^ TABLES[4][(lo >> 24) as usize]
-                ^ TABLES[3][(hi & 0xFF) as usize]
-                ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
-                ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
-                ^ TABLES[0][(hi >> 24) as usize];
-        }
-        self.state = update_bytewise(crc, chunks.remainder());
+        self.state = update(self.state, data);
     }
 
     /// Consumes the hasher and returns the final checksum.
@@ -142,11 +309,90 @@ impl Default for Crc32c {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    const BLOCK: usize = 3 * LANE;
+    /// Past three full interleaved blocks, plus every tail shape.
+    const MAX_LEN: usize = 3 * BLOCK + 64;
+
+    /// `MAX_LEN + 8` deterministic pseudo-random bytes (xorshift64*).
+    fn noise(mut state: u64) -> Vec<u8> {
+        state |= 1;
+        (0..MAX_LEN + 8)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 56) as u8
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Dispatched, portable and bytewise agree on any length up to
+        /// past three interleaved blocks, at any start offset (unaligned
+        /// slices), and when the same bytes are fed to
+        /// `Crc32c::update` in pieces at random split points.
+        #[test]
+        fn prop_kernels_agree(
+            seed: u64,
+            len in 0..=MAX_LEN,
+            offset in 0..8usize,
+            cuts in prop::collection::vec(0..=MAX_LEN, 0..6),
+        ) {
+            let pool = noise(seed);
+            let data = &pool[offset..offset + len];
+            let expected = crc32c_bytewise(data);
+            prop_assert_eq!(crc32c(data), expected);
+            prop_assert_eq!(crc32c_portable(data), expected);
+
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(len)).collect();
+            cuts.sort_unstable();
+            let mut hasher = Crc32c::new();
+            let mut pos = 0;
+            for cut in cuts.into_iter().chain([len]) {
+                hasher.update(&data[pos..cut]);
+                pos = cut;
+            }
+            prop_assert_eq!(hasher.finalize(), expected);
+        }
+    }
+
+    /// Lengths right at and around every block boundary, where the
+    /// kernel switches between interleaved blocks and the single-stream
+    /// tail.
+    #[test]
+    fn kernels_agree_at_block_boundaries() {
+        let pool = noise(0x00C0_FFEE);
+        let edges = [BLOCK, 2 * BLOCK, 8188, 8192, 3 * BLOCK];
+        for edge in edges {
+            for len in edge - 9..=edge + 9 {
+                for offset in 0..8 {
+                    let data = &pool[offset..offset + len];
+                    let expected = crc32c_bytewise(data);
+                    assert_eq!(crc32c(data), expected, "len {len} offset {offset}");
+                    assert_eq!(crc32c_portable(data), expected, "len {len} offset {offset}");
+                }
+            }
+        }
+    }
+
+    /// The zero-shift table advances a state exactly as feeding a lane of
+    /// zero bytes would.
+    #[test]
+    fn shift_table_matches_a_zero_lane() {
+        for state in [0, 1, 0x8000_0000, 0xDEAD_BEEF, !0] {
+            assert_eq!(shift(state), update_bytewise(state, &[0; LANE]));
+        }
+    }
 
     #[test]
     fn known_answer_rfc3720() {
         // RFC 3720 B.4 test vector.
         assert_eq!(crc32c(b"123456789"), 0xE306_9283);
+        assert_eq!(crc32c_portable(b"123456789"), 0xE306_9283);
         assert_eq!(crc32c_bytewise(b"123456789"), 0xE306_9283);
     }
 
@@ -184,7 +430,7 @@ mod tests {
         assert_eq!(hasher.finalize(), crc32c(&data));
     }
 
-    /// Slicing-by-8 must agree with the bytewise oracle on every length
+    /// Both kernels must agree with the bytewise oracle on every length
     /// 0..=64 (covering all chunk/remainder splits) and on a few thousand
     /// random lengths and alignments.
     #[test]
@@ -202,9 +448,11 @@ mod tests {
         for len in 0..=64usize {
             for offset in 0..8usize {
                 let slice = &pool[offset..offset + len];
+                let expected = crc32c_bytewise(slice);
+                assert_eq!(crc32c(slice), expected, "len {len} offset {offset}");
                 assert_eq!(
-                    crc32c(slice),
-                    crc32c_bytewise(slice),
+                    crc32c_portable(slice),
+                    expected,
                     "len {len} offset {offset}"
                 );
             }
@@ -213,9 +461,11 @@ mod tests {
             let len = (next() as usize) % 4096;
             let offset = (next() as usize) % (pool.len() - len);
             let slice = &pool[offset..offset + len];
+            let expected = crc32c_bytewise(slice);
+            assert_eq!(crc32c(slice), expected, "len {len} offset {offset}");
             assert_eq!(
-                crc32c(slice),
-                crc32c_bytewise(slice),
+                crc32c_portable(slice),
+                expected,
                 "len {len} offset {offset}"
             );
         }

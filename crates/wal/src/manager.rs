@@ -391,7 +391,10 @@ impl LogManager {
         base: u64,
         bytes: &[u8],
     ) -> (Self, Lsn) {
-        let buf = SegmentedBuffer::new(base);
+        // Files that begin past the header mean the log was truncated
+        // there; files that begin at the header hold the whole log.
+        let truncated_at = if base > Lsn::FIRST.0 { base } else { 0 };
+        let buf = SegmentedBuffer::starting_at(truncated_at, base);
         if !bytes.is_empty() {
             let at = buf.reserve(bytes.len() as u64);
             debug_assert_eq!(at, base);

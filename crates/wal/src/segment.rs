@@ -231,16 +231,29 @@ impl SegmentedBuffer {
     /// (all-zero) header region, so offset 0 is never a record.
     pub(crate) fn new(header_len: u64) -> Self {
         debug_assert!(header_len < SEG_BYTES);
-        let seg = Segment::new(0);
-        seg.filled.store(header_len as usize, Ordering::Relaxed);
+        Self::starting_at(0, header_len)
+    }
+
+    /// A buffer whose truncation point is `base` and whose first
+    /// reservation lands at `start` (`start ≥ base`): every byte below
+    /// `start` counts as filled and is never read. This is how a log
+    /// restored from files that begin at `start` resumes, possibly many
+    /// segments into the virtual offset space; the first segment is the
+    /// one holding `start`.
+    pub(crate) fn starting_at(base: u64, start: u64) -> Self {
+        debug_assert!(base <= start);
+        let first_index = start / SEG_BYTES;
+        let seg = Segment::new(first_index * SEG_BYTES);
+        seg.filled
+            .store((start - seg.start) as usize, Ordering::Relaxed);
         Self {
-            base: AtomicU64::new(0),
-            reserved: AtomicU64::new(header_len),
-            complete_cache: AtomicU64::new(header_len),
+            base: AtomicU64::new(base),
+            reserved: AtomicU64::new(start),
+            complete_cache: AtomicU64::new(start),
             id: NEXT_BUFFER_ID.fetch_add(1, Ordering::Relaxed),
             generation: AtomicU64::new(0),
             dir: RwLock::new(Directory {
-                first_index: 0,
+                first_index,
                 segs: vec![Arc::new(seg)],
             }),
         }

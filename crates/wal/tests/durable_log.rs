@@ -178,3 +178,61 @@ fn truncation_unlinks_old_segments_and_reopen_starts_at_new_base() {
         assert!(log.read_record(lsn).is_ok(), "retained record at {lsn:?}");
     }
 }
+
+/// Reopen after a truncation whose cut lies past the first 64 KiB
+/// buffer segment: the restored log must start at the first retained
+/// file's offset, scan forward from it, and keep appending there.
+#[test]
+fn reopen_after_truncating_past_a_buffer_segment() {
+    let tmp = TempDir::new("durable-log").unwrap();
+    let dir = tmp.path().join("wal");
+    let log = LogManager::for_testing();
+    let files = WalFiles::create(&dir, Lsn::FIRST.0)
+        .unwrap()
+        .with_segment_bytes(4096);
+    log.set_sink(Arc::new(files));
+
+    let mut prev = Lsn::NULL;
+    let mut lsns = Vec::new();
+    while log.end_lsn().0 < 3 * 64 * 1024 {
+        let lsn = log.append(&update_record(1, prev, 10 + lsns.len() as u64, Lsn::NULL));
+        prev = lsn;
+        lsns.push(lsn);
+        if lsns.len() % 64 == 0 {
+            log.force();
+        }
+    }
+    log.force();
+    let cut = *lsns.iter().find(|l| l.0 > 2 * 64 * 1024).unwrap();
+    log.set_archive_watermark(cut);
+    assert!(log.truncate_until(cut).unwrap() > 64 * 1024);
+    let retained: Vec<(Lsn, LogRecord)> = lsns
+        .iter()
+        .filter(|&&l| l >= cut)
+        .map(|&l| (l, log.read_record(l).unwrap()))
+        .collect();
+    drop(log);
+
+    let (log, _) = reopen(&dir);
+    let floor = log.truncate_point();
+    assert!(floor.0 >= 64 * 1024, "restored base {floor:?}");
+    assert!(floor <= cut, "files keep at least the retained records");
+    for (lsn, record) in &retained {
+        assert_eq!(&log.read_record(*lsn).unwrap(), record, "record at {lsn:?}");
+    }
+    let scanned = log
+        .scan_records(floor)
+        .unwrap()
+        .map(|item| item.unwrap().0)
+        .filter(|&l| l >= cut)
+        .count();
+    assert_eq!(scanned, retained.len());
+
+    // Appends continue at the restored end and survive another reopen.
+    let next = log.append(&update_record(2, Lsn::NULL, 99, Lsn::NULL));
+    log.force();
+    let rec_next = log.read_record(next).unwrap();
+    drop(log);
+    let (log, _) = reopen(&dir);
+    assert_eq!(log.read_record(next).unwrap(), rec_next);
+}
